@@ -26,6 +26,8 @@
 //	                 backpressure is passed through with Retry-After
 //	                 intact; every proxied response carries
 //	                 X-Bddmind-Backend
+//	POST /optimize-network   refused with 501: network jobs go to a
+//	                 bddmind backend directly
 //	GET  /healthz    200 while at least one backend is admitted
 //	GET  /metrics    per-backend request/error/ejection/breaker counters,
 //	                 the retry histogram, hedge/deadline/retry-budget

@@ -9,9 +9,7 @@ import "fmt"
 // A Manager is not safe for concurrent use. The minimization experiments are
 // sequential by design (runtimes of individual heuristics are compared), so
 // no internal locking is provided; callers that want parallelism use one
-// Manager per goroutine — with one structured exception: a MatchSession
-// (session.go) freezes the arena and lets multiple goroutines evaluate the
-// node-free match kernels concurrently through per-worker views.
+// Manager per goroutine.
 type Manager struct {
 	nodes   []node
 	free    []uint32 // recycled node indexes (from GC)
@@ -48,21 +46,9 @@ type Manager struct {
 	budgetCountdown uint32 // steps until the next amortized limit check
 	budgetBaseMade  uint64 // stNodesMade when the budget was attached
 
-	// Parallel match sessions (see session.go). frozen rejects node-creating
-	// entry points and GC while read-only worker views are live; shadows
-	// pools the per-worker view managers across sessions so their cache
-	// shards and signature memos are allocated once.
-	frozen  bool
-	shadows []*Manager
-
 	// statistics
 	stGCRuns    int
 	stNodesMade uint64
-	// Signature-memo statistics (see signature.go). stSigComputed counts
-	// cold per-node signature computations; MatchSession.Close folds the
-	// worker views' counts in here.
-	stSigComputed    uint64
-	stSigInvalidated uint64
 }
 
 // Config carries optional Manager tuning knobs. The zero value selects
@@ -224,9 +210,6 @@ func (m *Manager) checkRef(f Ref) {
 // (high edge never complemented), and hash-consing through the unique
 // table (merging rule).
 func (m *Manager) mkNode(level int32, high, low Ref) Ref {
-	if m.frozen {
-		panic("bdd: node creation during an active MatchSession (see session.go)")
-	}
 	if m.budget != nil {
 		m.budgetStep()
 	}

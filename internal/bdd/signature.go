@@ -91,26 +91,10 @@ func (m *Manager) growSigMemo() {
 	}
 }
 
-// SigStats reports signature-memo activity. Computed counts cold per-node
-// signature computations (warm memo hits are deliberately uncounted: they
-// sit on the match kernels' innermost path). When a MatchSession closes,
-// the worker views' Computed counts fold into the parent's, mirroring the
-// computed-cache counter aggregation.
-type SigStats struct {
-	Computed      uint64 // cold per-node signature computations
-	Invalidations uint64 // whole-memo invalidations (GC epochs dropped)
-}
-
-// SigStats returns the manager's signature-memo counters.
-func (m *Manager) SigStats() SigStats {
-	return SigStats{Computed: m.stSigComputed, Invalidations: m.stSigInvalidated}
-}
-
 // invalidateSignatures drops every memoized signature; called when GC puts
 // node slots on the free list, after which a slot may be rebuilt as a
 // different function.
 func (m *Manager) invalidateSignatures() {
-	m.stSigInvalidated++
 	m.sigGen++
 	if m.sigGen == 0 { // epoch wraparound: reset the stamps explicitly
 		for i := range m.sigMemo {
@@ -147,7 +131,6 @@ func (m *Manager) signatureSlow(f Ref) uint64 {
 		v := varSignature(n.level)
 		s = v&m.signature(n.high) | ^v&m.signature(n.low)
 		m.sigMemo[idx] = sigEntry{sig: s, gen: m.sigGen}
-		m.stSigComputed++
 	}
 	if f.IsComplement() {
 		return ^s

@@ -141,7 +141,7 @@ func (o *OptLv) MinimizeBudgeted(m *bdd.Manager, f, c bdd.Ref, b *bdd.Budget) (b
 		var next ISF
 		var stats LevelMatchStats
 		err := m.Budgeted(func() {
-			next, stats = minimizeAtLevel(m, cur, bdd.Var(i), cr, o.Limit, o.MatchWorkers, sc)
+			next, stats = minimizeAtLevel(m, cur, bdd.Var(i), cr, o.Limit, sc)
 		})
 		if err != nil {
 			stats.Aborted = true
@@ -150,7 +150,7 @@ func (o *OptLv) MinimizeBudgeted(m *bdd.Manager, f, c bdd.Ref, b *bdd.Budget) (b
 			cur = next
 		}
 		if o.Trace != nil {
-			o.Trace.Emit(levelMatchEvent(i, cr, stats, sc, time.Since(start)))
+			o.Trace.Emit(levelMatchEvent(i, cr, stats, time.Since(start)))
 		}
 		if info.Aborted {
 			break
@@ -280,7 +280,7 @@ func (r *Robust) MinimizeBudgeted(m *bdd.Manager, f, c bdd.Ref, b *bdd.Budget) (
 	if sibInfo.Aborted {
 		info = sibInfo
 	} else if m.Density(c) > threshold {
-		lv := &OptLv{Limit: r.Limit, MatchWorkers: r.MatchWorkers}
+		lv := &OptLv{Limit: r.Limit}
 		g, lvInfo := lv.MinimizeBudgeted(m, f, c, nil)
 		consider(g)
 		if lvInfo.Aborted {

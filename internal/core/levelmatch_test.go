@@ -52,16 +52,16 @@ func TestPairDistanceSiblingsIsOne(t *testing.T) {
 	// example: paths 1000210 and 1201111 have distance 9.
 	a := LevelPair{Path: []bdd.CubeValue{bdd.CubeOne, bdd.CubeZero, bdd.CubeZero, bdd.CubeZero, bdd.DontCare, bdd.CubeOne, bdd.CubeZero}}
 	b := LevelPair{Path: []bdd.CubeValue{bdd.CubeOne, bdd.DontCare, bdd.CubeZero, bdd.CubeOne, bdd.CubeOne, bdd.CubeOne, bdd.CubeOne}}
-	if d := PairDistance(a, b); d != 9 {
+	if d := pairDistance(&a, &b); d != 9 {
 		t.Fatalf("paper's distance example: got %d, want 9", d)
 	}
 	// Siblings: identical path except the last position.
 	s1 := LevelPair{Path: []bdd.CubeValue{bdd.CubeOne, bdd.CubeZero, bdd.CubeOne}}
 	s2 := LevelPair{Path: []bdd.CubeValue{bdd.CubeOne, bdd.CubeZero, bdd.CubeZero}}
-	if d := PairDistance(s1, s2); d != 1 {
+	if d := pairDistance(&s1, &s2); d != 1 {
 		t.Fatalf("sibling distance: got %d, want 1", d)
 	}
-	if PairDistance(s1, s1) != 0 {
+	if pairDistance(&s1, &s1) != 0 {
 		t.Fatal("distance to self must be 0")
 	}
 }
@@ -125,8 +125,8 @@ func TestSignaturePruningPreservesResults(t *testing.T) {
 		for i := range unpruned {
 			unpruned[i].FSig, unpruned[i].CSig = 0, 0
 		}
-		osmA := SolveOSMLevel(m, pairs)
-		osmB := SolveOSMLevel(m, unpruned)
+		osmA, _, _ := solveOSMLevel(m, pairs)
+		osmB, _, _ := solveOSMLevel(m, unpruned)
 		if len(osmA) != len(osmB) {
 			t.Fatalf("trial %d: OSM replacements differ: %d vs %d", trial, len(osmA), len(osmB))
 		}
@@ -135,8 +135,8 @@ func TestSignaturePruningPreservesResults(t *testing.T) {
 				t.Fatalf("trial %d: OSM replacement for %v differs", trial, from)
 			}
 		}
-		tsmA := SolveTSMLevel(m, pairs)
-		tsmB := SolveTSMLevel(m, unpruned)
+		tsmA, _, _, _ := solveTSMLevel(m, pairs, newLvScratch())
+		tsmB, _, _, _ := solveTSMLevel(m, unpruned, newLvScratch())
 		if len(tsmA) != len(tsmB) {
 			t.Fatalf("trial %d: TSM replacements differ: %d vs %d", trial, len(tsmA), len(tsmB))
 		}
@@ -184,7 +184,7 @@ func TestSolveOSMLevelSinks(t *testing.T) {
 		if len(pairs) < 2 {
 			continue
 		}
-		repl := SolveOSMLevel(m, pairs)
+		repl, _, _ := solveOSMLevel(m, pairs)
 		// Independent oracle for the minimum FMM size (Proposition 10):
 		// the number of sink classes of the DMG quotiented by mutual
 		// matching. A vertex is in a sink class iff every match it makes
@@ -275,7 +275,7 @@ func TestTSMCliqueFoldIsCommonICover(t *testing.T) {
 		if len(pairs) < 2 {
 			continue
 		}
-		repl := SolveTSMLevel(m, pairs)
+		repl, _, _, _ := solveTSMLevel(m, pairs, newLvScratch())
 		for from, to := range repl {
 			checked++
 			allCovers(m, to, n, func(g bdd.Ref) {
@@ -331,8 +331,8 @@ func TestTheorem12OSMPreservesBelowLevelOptimum(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		for lvl := 0; lvl < n-1; lvl++ {
-			out, replaced := MinimizeAtLevel(m, in, bdd.Var(lvl), OSM, 0)
-			if replaced == 0 {
+			out, stats := MinimizeAtLevel(m, in, bdd.Var(lvl), OSM, 0)
+			if stats.Replaced == 0 {
 				continue
 			}
 			before := minBelow(m, in, n, bdd.Var(lvl))
@@ -349,7 +349,9 @@ func TestRebuildIdentityWhenNoReplacements(t *testing.T) {
 	m := bdd.New(4)
 	rng := newRand(306)
 	in := randISF(rng, m, 4)
-	out := RebuildWithReplacements(m, in, 1, map[ISF]ISF{})
+	var memo isfMap
+	memo.reset(0)
+	out := rebuildWithReplacements(m, in, 1, map[ISF]ISF{}, &memo)
 	if out != in {
 		t.Fatal("rebuild with no replacements must be the identity")
 	}
@@ -410,8 +412,8 @@ func TestMinimizeAtLevelBatchedIsSound(t *testing.T) {
 		m := bdd.New(n)
 		in := randISF(rng, m, n)
 		for _, limit := range []int{1, 2, 3, 0} {
-			out, replaced := MinimizeAtLevel(m, in, 0, TSM, limit)
-			if limit == 1 && replaced != 0 {
+			out, stats := MinimizeAtLevel(m, in, 0, TSM, limit)
+			if limit == 1 && stats.Replaced != 0 {
 				t.Fatal("singleton batches cannot produce matches")
 			}
 			allCovers(m, out, n, func(g bdd.Ref) {

@@ -21,9 +21,6 @@ type Robust struct {
 	OnsetThreshold float64
 	// Limit bounds the level matcher's collected set size (0 = unlimited).
 	Limit int
-	// MatchWorkers is passed through to the level matcher when it runs; see
-	// OptLv.MatchWorkers.
-	MatchWorkers int
 }
 
 // Name returns "robust".
@@ -47,7 +44,7 @@ func (r *Robust) Minimize(m *bdd.Manager, f, c bdd.Ref) bdd.Ref {
 	}
 	consider(NewSiblingHeuristic(OSM, true, true).Minimize(m, f, c))
 	if m.Density(c) > threshold {
-		lv := &OptLv{Limit: r.Limit, MatchWorkers: r.MatchWorkers}
+		lv := &OptLv{Limit: r.Limit}
 		consider(lv.Minimize(m, f, c))
 	}
 	return best

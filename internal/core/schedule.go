@@ -37,11 +37,6 @@ type Scheduler struct {
 	// LevelLimit bounds the collected set size per level match
 	// (0 = unlimited).
 	LevelLimit int
-	// MatchWorkers fans each level match's pair matrix across this many
-	// concurrent match-kernel goroutines (bdd.MatchSession). Values ≤ 1 keep
-	// the serial path; results are byte-identical for every setting. Sibling
-	// matching is unaffected.
-	MatchWorkers int
 	// Trace, when non-nil, receives the schedule's event stream: one
 	// obs.WindowEvent pair per window, one obs.HeuristicEvent per sibling
 	// step ("sib_osm", "sib_tsm") and for the final constrain
@@ -95,22 +90,12 @@ func (s *Scheduler) sibStep(m *bdd.Manager, cur ISF, cr Criterion, nnv bool, lo,
 // lvStep runs one level-matching round, traced when enabled.
 func (s *Scheduler) lvStep(m *bdd.Manager, cur ISF, cr Criterion, i int) ISF {
 	if s.Trace == nil {
-		out, _, _ := MinimizeAtLevelParallel(m, cur, bdd.Var(i), cr, s.LevelLimit, s.MatchWorkers)
+		out, _ := MinimizeAtLevel(m, cur, bdd.Var(i), cr, s.LevelLimit)
 		return out
 	}
 	start := time.Now()
-	out, stats, split := MinimizeAtLevelParallel(m, cur, bdd.Var(i), cr, s.LevelLimit, s.MatchWorkers)
-	ev := obs.LevelMatchEvent{
-		Level: i, Criterion: cr.String(),
-		Pairs: stats.Pairs, Edges: stats.Edges, Cliques: stats.Cliques,
-		Replaced: stats.Replaced, Pruned: stats.Pruned,
-		Duration: time.Since(start),
-	}
-	if len(split) > 0 {
-		ev.Workers = len(split)
-		ev.WorkerPairs = split
-	}
-	s.Trace.Emit(ev)
+	out, stats := MinimizeAtLevel(m, cur, bdd.Var(i), cr, s.LevelLimit)
+	s.Trace.Emit(levelMatchEvent(i, cr, stats, time.Since(start)))
 	return out
 }
 

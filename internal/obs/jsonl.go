@@ -67,11 +67,7 @@ type (
 		Replaced  int    `json:"replaced"`
 		Pruned    int    `json:"pruned"`
 		Aborted   bool   `json:"aborted,omitempty"`
-		// Worker fields are omitted for serial rounds, keeping serial traces
-		// byte-identical to those written before parallel matching existed.
-		Workers     int   `json:"workers,omitempty"`
-		WorkerPairs []int `json:"worker_pairs,omitempty"`
-		Ns          int64 `json:"ns,omitempty"`
+		Ns        int64  `json:"ns,omitempty"`
 	}
 	wireCacheOp struct {
 		Op        string `json:"op"`
@@ -115,6 +111,7 @@ type (
 		Queue     int    `json:"queue,omitempty"`
 		Status    int    `json:"status,omitempty"`
 		Reason    string `json:"reason,omitempty"`
+		Stack     string `json:"stack,omitempty"`
 		Ns        int64  `json:"ns,omitempty"`
 	}
 	wireRoute struct {
@@ -176,7 +173,6 @@ func (s *JSONL) Emit(ev Event) {
 			Ev: e.Kind(), Level: e.Level, Criterion: e.Criterion,
 			Pairs: e.Pairs, Edges: e.Edges, Cliques: e.Cliques,
 			Replaced: e.Replaced, Pruned: e.Pruned, Aborted: e.Aborted,
-			Workers: e.Workers, WorkerPairs: e.WorkerPairs,
 		}
 		if s.Timings {
 			w.Ns = e.Duration.Nanoseconds()
@@ -200,7 +196,7 @@ func (s *JSONL) Emit(ev Event) {
 		w := wireServe{
 			Ev: e.Kind(), Phase: e.Phase, ID: e.ID, Shard: e.Shard,
 			Format: e.Format, Heuristic: e.Heuristic, Queue: e.Queue,
-			Status: e.Status, Reason: e.Reason,
+			Status: e.Status, Reason: e.Reason, Stack: e.Stack,
 		}
 		if s.Timings {
 			w.Ns = e.Duration.Nanoseconds()

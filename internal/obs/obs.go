@@ -86,13 +86,7 @@ type LevelMatchEvent struct {
 	Replaced  int    // pairs replaced by an i-cover
 	Pruned    int    // candidate pairs rejected by the signature filter
 	Aborted   bool   // round cut short by a budget abort; result discarded
-	// Workers is the match-kernel worker count when the round's pair matrix
-	// was evaluated by a parallel session, and 0 for a serial round;
-	// WorkerPairs then holds the candidate pairs each worker evaluated.
-	// Serial rounds leave both unset, so serial traces are unchanged.
-	Workers     int
-	WorkerPairs []int
-	Duration    time.Duration
+	Duration  time.Duration
 }
 
 // Kind implements Event.
@@ -180,14 +174,15 @@ func (AbortEvent) Kind() string { return "abort" }
 // bounded-queue depth observed at the transition — the server's
 // backpressure signal.
 type ServeEvent struct {
-	Phase     string // "accepted", "started", "degraded", "finished", "rejected", "cache_hit", "coalesced"
+	Phase     string // "accepted", "started", "degraded", "finished", "rejected", "cache_hit", "coalesced", "panic"
 	ID        uint64 // server-assigned request id
 	Shard     int    // worker index (execution phases; -1 before placement)
 	Format    string // input format: "spec", "pla" or "blif"
 	Heuristic string
 	Queue     int    // queue depth at the transition
 	Status    int    // HTTP status (finished/rejected phases)
-	Reason    string // rejection cause, budget abort reason, or cache tier
+	Reason    string // rejection cause, budget abort reason, cache tier, or recovered panic value
+	Stack     string // goroutine stack of a recovered panic ("panic" phase only)
 	Duration  time.Duration
 }
 
@@ -301,11 +296,6 @@ func (b *Buffer) Emit(ev Event) {
 	case CacheEvent:
 		e.Ops = append([]CacheOpStats(nil), e.Ops...)
 		ev = e
-	case LevelMatchEvent:
-		if e.WorkerPairs != nil {
-			e.WorkerPairs = append([]int(nil), e.WorkerPairs...)
-			ev = e
-		}
 	}
 	b.Events = append(b.Events, ev)
 }

@@ -31,13 +31,24 @@ const BackendHeader = serve.BackendHeader
 var errOversized = errors.New("response body exceeds the proxied-body limit")
 
 // Handler returns the router's HTTP mux: POST /minimize (proxied), GET
-// /healthz and GET /metrics (the router's own).
+// /healthz and GET /metrics (the router's own). POST /optimize-network is
+// refused explicitly with 501: network jobs are not placed on the ring.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/minimize", rt.handleMinimize)
+	mux.HandleFunc("/optimize-network", handleOptimizeNetwork)
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	return mux
+}
+
+// handleOptimizeNetwork answers every network job with 501. A netlist has
+// no single instance key to place on the ring, and its result is never
+// cached, so routing it would buy nothing over sending it to a backend.
+func handleOptimizeNetwork(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusNotImplemented, serve.ErrorResponse{
+		Error: "the router does not proxy /optimize-network; send network jobs to a bddmind backend directly",
+	})
 }
 
 // writeJSON emits one JSON response body with the given status.

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -308,6 +309,41 @@ func TestRouterBadRequest(t *testing.T) {
 	}
 	if row := backendRow(ms, st.ts.URL); row.Requests != 0 {
 		t.Fatalf("bad requests were forwarded: %+v", row)
+	}
+}
+
+// TestRouterRefusesNetworkJobs: POST /optimize-network is answered by the
+// router itself with a 501 JSON error naming the backend as the place to
+// send it; nothing is forwarded and no routing counter moves.
+func TestRouterRefusesNetworkJobs(t *testing.T) {
+	st := newStub(t)
+	rt, _, front := newRouter(t, Config{Backends: []string{st.ts.URL}})
+
+	res, err := http.Post(front.URL+"/optimize-network", "application/json",
+		bytes.NewReader([]byte(`{"format":"blif","input":".model m\n.end\n"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	if res.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("POST /optimize-network: status %d, want 501", res.StatusCode)
+	}
+	if ct := res.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q, want application/json", ct)
+	}
+	var body serve.ErrorResponse
+	if err := json.NewDecoder(res.Body).Decode(&body); err != nil {
+		t.Fatalf("501 body is not a JSON error: %v", err)
+	}
+	if !strings.Contains(body.Error, "backend directly") {
+		t.Fatalf("error %q does not point at the backend", body.Error)
+	}
+	ms := rt.Metrics()
+	if row := backendRow(ms, st.ts.URL); row.Requests != 0 {
+		t.Fatalf("network job was forwarded: %+v", row)
+	}
+	if ms.Counters.BadRequest != 0 {
+		t.Fatalf("bad_request = %d, want 0", ms.Counters.BadRequest)
 	}
 }
 

@@ -89,10 +89,9 @@ func (h *latencyHist) snapshot() LatencySnapshot {
 func (s *Server) metricsSnapshot() MetricsSnapshot {
 	uptime := time.Since(s.start)
 	snap := MetricsSnapshot{
-		UptimeNs:        uptime.Nanoseconds(),
-		QueueDepth:      len(s.queue),
-		QueueCap:        s.cfg.QueueDepth,
-		MaxMatchWorkers: s.cfg.MaxMatchWorkers,
+		UptimeNs:   uptime.Nanoseconds(),
+		QueueDepth: len(s.queue),
+		QueueCap:   s.cfg.QueueDepth,
 		Counters: CounterSnapshot{
 			Accepted: s.counters.accepted.Load(),
 			Finished: s.counters.finished.Load(),
@@ -103,6 +102,7 @@ func (s *Server) metricsSnapshot() MetricsSnapshot {
 			Invalid:  s.counters.invalid.Load(),
 			Canceled: s.counters.canceled.Load(),
 			Failed:   s.counters.failed.Load(),
+			Panics:   s.counters.panics.Load(),
 		},
 		Cache:   s.cacheSnapshot(),
 		Latency: s.lat.snapshot(),

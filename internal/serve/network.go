@@ -183,7 +183,7 @@ func (s *Server) executeNetwork(w *worker, t *task) {
 		Phase: "started", ID: t.id, Shard: w.id,
 		Format: "blif", Heuristic: t.heu.Name(), Queue: len(s.queue),
 	})
-	resp := s.runNetworkJob(t)
+	resp := s.runNetworkJob(w, t)
 	elapsed := time.Since(start)
 	w.jobs.Add(1)
 	w.busyNs.Add(elapsed.Nanoseconds())
@@ -214,12 +214,16 @@ func (s *Server) executeNetwork(w *worker, t *task) {
 // runNetworkJob maps the request onto network.Optimize and serializes the
 // rewritten netlist. A nil return is an internal failure — a panic, a
 // failing final miter, or an unserializable result.
-func (s *Server) runNetworkJob(t *task) (resp *NetworkResponse) {
+func (s *Server) runNetworkJob(w *worker, t *task) (resp *NetworkResponse) {
 	defer func() {
 		if r := recover(); r != nil {
+			s.notePanic(w, t, r)
 			resp = nil
 		}
 	}()
+	if s.cfg.hookStart != nil {
+		s.cfg.hookStart(w.id, t.id)
+	}
 	buf := &obs.Buffer{}
 	res, err := network.Optimize(t.net, network.Options{
 		Heuristic:       core.Instrument(t.heu, buf),

@@ -29,6 +29,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,12 +64,6 @@ type Config struct {
 	// MaxTimeout clamps requests that do. Zero means no limit.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxMatchWorkers caps every request's match_workers knob (parallel
-	// level matching; see core.WithMatchWorkers). 0 — the default —
-	// disables parallel matching: every request runs the serial matcher
-	// regardless of what it asked for. Worker counts never change results,
-	// so the cap affects only shard CPU usage.
-	MaxMatchWorkers int
 	// RetryAfter is the backoff hint attached to 429 responses (default
 	// 500ms).
 	RetryAfter time.Duration
@@ -86,9 +81,9 @@ type Config struct {
 	CacheBytes   int64
 
 	// hookStart, when non-nil, runs on the worker goroutine at the top of
-	// each executed job, inside the job's panic recovery — a test-only
-	// synchronization and fault-injection point for the overload, drain
-	// and singleflight tests.
+	// each executed job (minimize and network), inside the job's panic
+	// recovery — a test-only synchronization and fault-injection point for
+	// the overload, drain, singleflight and panic-reporting tests.
 	hookStart func(shard int, id uint64)
 }
 
@@ -125,12 +120,9 @@ type task struct {
 	trace    bool
 	nodesCap uint64
 	deadline time.Time
-	// matchWorkers is the request's effective level-match worker count
-	// after the MaxMatchWorkers clamp (≤ 1 = serial).
-	matchWorkers int
-	ctx          context.Context
-	enq          time.Time
-	resp         chan *MinimizeResponse // buffered; worker never blocks
+	ctx      context.Context
+	enq      time.Time
+	resp     chan *MinimizeResponse // buffered; worker never blocks
 
 	// Network-job fields (POST /optimize-network); a non-nil netResp routes
 	// the task through executeNetwork instead of execute, and prob/resp stay
@@ -173,7 +165,7 @@ type Server struct {
 	counters struct {
 		accepted, finished, degraded, aborts atomic.Uint64
 		rejected, drainRejects, invalid      atomic.Uint64
-		canceled, failed                     atomic.Uint64
+		canceled, failed, panics             atomic.Uint64
 	}
 	lat latencyHist
 
@@ -273,6 +265,18 @@ func (s *Server) emitServe(ev obs.ServeEvent) {
 	s.obsMu.Unlock()
 }
 
+// notePanic reports a job panic recovered on worker w: it counts it in
+// /metrics and emits a "panic" serve event carrying the panic value and
+// the stack. Call it from the deferred recover, so the stack still shows
+// where the panic was raised.
+func (s *Server) notePanic(w *worker, t *task, r any) {
+	s.counters.panics.Add(1)
+	s.emitServe(obs.ServeEvent{
+		Phase: "panic", ID: t.id, Shard: w.id,
+		Reason: fmt.Sprint(r), Stack: string(debug.Stack()),
+	})
+}
+
 // runWorker is the shard loop: it owns w.m exclusively until the queue
 // closes.
 func (s *Server) runWorker(w *worker) {
@@ -346,6 +350,7 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 		if r := recover(); r != nil {
 			// A kernel invariant violation must not take the shard down,
 			// and a possibly-corrupt arena must not serve the next job.
+			s.notePanic(w, t, r)
 			w.m = bdd.New(1)
 			resp = nil
 		}
@@ -399,9 +404,7 @@ func (s *Server) runJob(w *worker, t *task, start time.Time) (resp *MinimizeResp
 		g, resp.Trivial = tg, true
 	} else {
 		buf := &obs.Buffer{}
-		// WithMatchWorkers copies before Instrument mutates, so the shared
-		// registry instance behind t.heu is never written from a shard.
-		h := core.Instrument(core.WithMatchWorkers(t.heu, t.matchWorkers), buf)
+		h := core.Instrument(t.heu, buf)
 		b := s.budgetFor(t)
 		var ab core.AbortInfo
 		g, ab = core.MinimizeAnytime(h, m, in.F, in.C, b)

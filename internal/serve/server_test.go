@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -253,6 +254,59 @@ func TestHealthz(t *testing.T) {
 	}
 	if status != http.StatusOK || body.State != "ok" || body.Shards != 1 {
 		t.Fatalf("healthz: %d %+v", status, body)
+	}
+}
+
+// TestMinimizeIgnoresRetiredFields: request fields the server no longer
+// reads are ignored, not rejected. A /minimize body that still carries
+// the retired "match_workers" knob must get the same answer as one
+// without it, so old clients keep working.
+func TestMinimizeIgnoresRetiredFields(t *testing.T) {
+	_, c := newTestServer(t, Config{Shards: 1})
+
+	p := mustProblem(t, problem.KindSpec, "d1 01 1d 01 0d 1d d0 11", 0, "")
+	post := func(extra map[string]any) *MinimizeResponse {
+		t.Helper()
+		raw, err := json.Marshal(RequestFor(p, "opt_lv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range extra {
+			body[k] = v
+		}
+		raw, err = json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.Post(c.Base+"/minimize", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		data, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("body %s: HTTP %d: %s", raw, res.StatusCode, data)
+		}
+		var resp MinimizeResponse
+		if err := json.Unmarshal(data, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return &resp
+	}
+	plain := post(nil)
+	old := post(map[string]any{"match_workers": 4})
+	if old.Cached || plain.Cached {
+		t.Fatal("the server under test runs without a cache; no response may be cached")
+	}
+	if old.Cover != plain.Cover || old.CoverSize != plain.CoverSize {
+		t.Fatalf("cover with match_workers (%d nodes) differs from cover without (%d nodes)", old.CoverSize, plain.CoverSize)
 	}
 }
 
